@@ -17,7 +17,7 @@ from .halfspace import (
     enumerate_vertices,
 )
 from .classical import MajorizationVerdict, classical_hrep, classical_majorizes, permutohedron_vertices
-from .curve import ThermoCurve, curve_build, curve_eval, curve_leq
+from .curve import ThermoCurve, curve_build, curve_leq
 from .dmaj import (
     StochMatrix,
     dmaj_by_curve,
@@ -69,7 +69,6 @@ __all__ = [
     "classical_max_corner",
     "classify",
     "curve_build",
-    "curve_eval",
     "curve_leq",
     "dmaj_by_curve",
     "dmaj_by_onenorm",

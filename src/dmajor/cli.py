@@ -5,7 +5,8 @@ integers or finite decimals).  All emitted numbers stay exact: JSON and
 CSV outputs serialize rationals as strings, never as floats.
 
 Exit codes: 0 success (relation holds), 1 negative result (relation fails,
-or no classical maximum exists), 2 input or usage error.
+or no classical maximum exists), 2 input or usage error, 3 internal
+inconsistency (independent computations disagree).
 """
 
 from __future__ import annotations
@@ -31,21 +32,22 @@ from .dmaj import (
 from .exact import DimensionMismatch, NonPositiveWeight, RVec, parse_rational, require_weights
 from .halfspace import mask_indices, proper_masks
 from .polytope import (
+    LIPSCHITZ_CONSTANTS,
     NegativeEntries,
     b_l1_distance,
     build_dmaj_hrep,
     classical_max_corner,
     dmaj_vertices,
     hausdorff,
-    lipschitz_constant,
 )
-from .halfspace import DimensionCapExceeded, corners_with_labels
+from .halfspace import DimensionCapExceeded, VPolytope, corners_with_labels
 from .sd3 import classify, sd3_extremes, verify_extremality
 from .svgplot import render_polytope_svg
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -95,7 +97,7 @@ def load_problem(path: str | Path) -> ProblemFile:
     if "n" not in data or "y" not in data or "d" not in data:
         raise InputError(f"{path}: required fields are n, y, d")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"{path}: n must be a positive integer")
     y = _parse_vector(data["y"], "y", n)
     d = _parse_vector(data["d"], "d", n)
@@ -116,7 +118,7 @@ def load_problem(path: str | Path) -> ProblemFile:
         except (ValueError, TypeError) as exc:
             raise InputError(f"{path}: sweep bounds: {exc}") from exc
         steps = spec.get("steps", 10)
-        if not isinstance(steps, int) or steps < 1:
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
             raise InputError(f"{path}: sweep.steps must be a positive integer")
         sweep = SweepSpec(d_end, start, end, steps)
     return ProblemFile(n, y, d, x, sweep, data)
@@ -241,7 +243,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 
     labelled = corners_with_labels(hsys)
     labels = {v.entries: sigma for v, sigma in labelled}
-    poly = dmaj_vertices(y, d)
+    poly = VPolytope.from_points([p for p, _ in labelled], hsys)
     results["vertices"] = [_vec_json(v) for v in poly.vertices]
     results["vertex_labels"] = [list(labels[v.entries].one_based()) for v in poly.vertices]
     if show_vertices:
@@ -324,8 +326,6 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
     pb = load_problem(args.file_b)
     if pa.n != pb.n:
         raise InputError(f"dimension mismatch: {pa.n} vs {pb.n}")
-    sys_a = build_dmaj_hrep(pa.y, pa.d)
-    sys_b = build_dmaj_hrep(pb.y, pb.d)
     poly_a = dmaj_vertices(pa.y, pa.d)
     poly_b = dmaj_vertices(pb.y, pb.d)
     result = hausdorff(poly_a, poly_b)
@@ -336,9 +336,12 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
         "attaining_vertex": _vec_json(result.attaining_vertex),
         "side": result.side,
     }
-    try:
-        constant = lipschitz_constant(pa.n)
-        b_dist = b_l1_distance(sys_a, sys_b)
+    constant = LIPSCHITZ_CONSTANTS.get(pa.n)
+    if constant is None:
+        results["bound_check"] = None
+        print("bound check skipped: dimension exceeds the inverse-sweep cap")
+    else:
+        b_dist = b_l1_distance(poly_a.origin, poly_b.origin)
         bound_holds = result.distance <= constant * b_dist
         results["bound_check"] = {
             "constant": str(constant),
@@ -349,9 +352,6 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
             f"bound check: Δ = {result.distance} <= C·|b-b'| = {constant}·{b_dist}: "
             f"{bound_holds}"
         )
-    except DimensionCapExceeded:
-        results["bound_check"] = None
-        print("bound check skipped: dimension exceeds the inverse-sweep cap")
     if args.json:
         inputs = {
             "a": {"y": _vec_json(pa.y), "d": _vec_json(pa.d)},
@@ -450,6 +450,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DimensionMismatch, NonPositiveWeight, DimensionCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

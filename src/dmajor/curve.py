@@ -5,13 +5,23 @@ points (partial sums of d, partial sums of y) along the ordering that makes
 y_i/d_i nonincreasing equals, at every abscissa c, the minimum over i of
   sum((y - (y_i/d_i) d)_+)  +  (y_i/d_i) c.
 Its values at subset sums of d are exactly the halfspace bounds of the
-polytope of vectors majorized by y relative to d.
+polytope of vectors majorized by y relative to d.  Dually, the potential
+u(t) = sum((y - t d)_+) is the largest f - t c over the elbows.
+
+This module is the one implementation of that function.  The curve decider
+(criterion vii), the one-norm decider (criterion vi) and the halfspace
+bounds of ``build_dmaj_hrep`` all read it off the elbows.  The
+positive-part decider (criterion iv), the witness LP and the classical
+d = 1 routines deliberately compute without it, so that the agreement
+sweeps compare independent code.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exact import DimensionMismatch, Permutation, RVec, require_weights
 
@@ -31,18 +41,23 @@ class ThermoCurve:
     def domain(self) -> Fraction:
         return self.elbows[-1][0]
 
-    @property
-    def height(self) -> Fraction:
-        return self.elbows[-1][1]
-
     def eval(self, c: Fraction) -> Fraction:
-        """Exact linear interpolation on the elbow list."""
+        """Exact linear interpolation on the segment found by bisection."""
         if c < 0 or c > self.domain:
             raise ValueError(f"abscissa {c} outside [0, {self.domain}]")
-        for (c0, f0), (c1, f1) in zip(self.elbows, self.elbows[1:]):
-            if c <= c1:
-                return f0 + (f1 - f0) * (c - c0) / (c1 - c0)
-        return self.height
+        k = bisect_left(self.elbows, c, lo=1, key=itemgetter(0))
+        (c0, f0), (c1, f1) = self.elbows[k - 1], self.elbows[k]
+        return f0 + (f1 - f0) * (c - c0) / (c1 - c0)
+
+    def potential(self, t: Fraction) -> Fraction:
+        """sum((y - t d)_+), the largest f - t c over the elbows.
+
+        The maximum sits at the elbow after the last segment steeper than
+        t, found by bisecting the segment slopes y_i/d_i in elbow order.
+        """
+        k = bisect_left(self.order.image, -t, key=lambda i: -(self.y[i] / self.d[i]))
+        c, f = self.elbows[k]
+        return f - t * c
 
     def csv_rows(self, refine: int = 0) -> list[tuple[Fraction, Fraction]]:
         """Elbow samples plus an optional uniform refinement of the domain."""
@@ -67,10 +82,6 @@ def curve_build(y: RVec, d: RVec) -> ThermoCurve:
         f += y[i]
         elbows.append((c, f))
     return ThermoCurve(d, y, sigma, tuple(elbows))
-
-
-def curve_eval(curve: ThermoCurve, c: Fraction) -> Fraction:
-    return curve.eval(c)
 
 
 def curve_leq(lower: ThermoCurve, upper: ThermoCurve) -> bool:

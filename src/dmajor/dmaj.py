@@ -10,6 +10,11 @@ The finite criteria subsume their continuum counterparts: comparing
 positive parts at the 2n ratio breakpoints is equivalent to comparing at
 every real shift (and to testing every continuous convex function), so
 nothing is lost by checking breakpoints only.
+
+The one-norm and curve deciders are short callers of the curve core in
+``curve.py``.  The positive-part decider is written directly from its
+definition and the witness uses an LP; neither touches the curve, so the
+agreement sweeps keep comparing independent computations.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .curve import curve_build, curve_leq
 from .exact import DimensionMismatch, Permutation, RMatrix, RVec, require_weights
 from .lp import LinearProgram, feasible
 
@@ -63,61 +69,51 @@ def _check_pair(x: RVec, y: RVec, d: RVec) -> None:
     require_weights(d)
 
 
-def _positive_part_sum(v: RVec, t: Fraction, d: RVec) -> Fraction:
-    return sum((max(v[j] - t * d[j], ZERO) for j in range(len(v))), ZERO)
-
-
 def dmaj_by_positive_parts(x: RVec, y: RVec, d: RVec) -> bool:
     """Positive-part comparison at the 2n breakpoints x_i/d_i and y_i/d_i.
 
     The trace equality is checked explicitly on top of the breakpoint
     inequalities so that all deciders share one contract.
     """
+
+    def positive_part_sum(v: RVec, t: Fraction) -> Fraction:
+        return sum((max(v[j] - t * d[j], ZERO) for j in range(len(v))), ZERO)
+
     _check_pair(x, y, d)
     if x.total() != y.total():
         return False
     breakpoints = {x[i] / d[i] for i in range(len(x))}
     breakpoints.update(y[i] / d[i] for i in range(len(y)))
     return all(
-        _positive_part_sum(x, t, d) <= _positive_part_sum(y, t, d) for t in breakpoints
+        positive_part_sum(x, t) <= positive_part_sum(y, t) for t in breakpoints
     )
 
 
 def dmaj_by_onenorm(x: RVec, y: RVec, d: RVec) -> bool:
-    """Trace equality plus the n one-norm tests at t = y_i/d_i."""
-    _check_pair(x, y, d)
-    if x.total() != y.total():
-        return False
-    for i in range(len(y)):
-        t = y[i] / d[i]
-        shifted = d * t
-        if (x - shifted).one_norm() > (y - shifted).one_norm():
-            return False
-    return True
+    """Trace equality plus the n one-norm tests at t = y_i/d_i.
 
-
-def dmaj_by_curve(x: RVec, y: RVec, d: RVec) -> bool:
-    """Trace equality plus the n-1 elbow inequalities of the curve form.
-
-    With sigma ordering x/d nonincreasingly, each prefix sum of x must stay
-    below the minimum over i of sum((y - (y_i/d_i) d)_+) + (y_i/d_i) times
-    the matching prefix sum of d.
+    With T the common trace, ||v - t d||_1 = 2 u_v(t) - T + t sum(d) for the
+    potential u_v(t) = sum((v - t d)_+), so each one-norm test is the
+    comparison of the two curve potentials at t.
     """
     _check_pair(x, y, d)
     if x.total() != y.total():
         return False
-    n = len(x)
-    order = sorted(range(n), key=lambda i: (-(x[i] / d[i]), i))
-    ratios = [y[i] / d[i] for i in range(n)]
-    offsets = [_positive_part_sum(y, t, d) for t in ratios]
-    run_x = run_d = ZERO
-    for j in range(n - 1):
-        run_x += x[order[j]]
-        run_d += d[order[j]]
-        bound = min(offsets[i] + ratios[i] * run_d for i in range(n))
-        if run_x > bound:
-            return False
-    return True
+    cx, cy = curve_build(x, d), curve_build(y, d)
+    ratios = (y[i] / d[i] for i in range(len(y)))
+    return all(cx.potential(t) <= cy.potential(t) for t in ratios)
+
+
+def dmaj_by_curve(x: RVec, y: RVec, d: RVec) -> bool:
+    """Trace equality plus the elbow inequalities of the curve form.
+
+    Each prefix sum of x, taken in the order that makes x/d nonincreasing,
+    must stay below the curve of y at the matching prefix sum of d.
+    """
+    _check_pair(x, y, d)
+    if x.total() != y.total():
+        return False
+    return curve_leq(curve_build(x, d), curve_build(y, d))
 
 
 def find_witness(x: RVec, y: RVec, d: RVec) -> StochMatrix | None:

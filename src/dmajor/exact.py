@@ -31,6 +31,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -237,9 +239,6 @@ class RMatrix:
     def col(self, j: int) -> RVec:
         return RVec(tuple(r[j] for r in self.rows))
 
-    def transpose(self) -> "RMatrix":
-        return RMatrix(tuple(zip(*self.rows)))
-
     def matvec(self, v: RVec) -> RVec:
         if len(v) != self.ncols:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} matrix times length-{len(v)} vector")
@@ -253,70 +252,54 @@ class RMatrix:
             tuple(tuple(self.row(i).dot(c) for c in cols) for i in range(self.nrows))
         )
 
-    def _eliminated(self) -> list[list[Fraction]]:
-        """Row echelon form by exact Gaussian elimination."""
-        work = [list(r) for r in self.rows]
+    def _reduced(self, extra: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int]:
+        """Reduced row echelon form of [A | extra] by exact Gauss-Jordan.
+
+        Pivots are taken in the columns of A only, so ``extra`` (one tail
+        per row) is carried along.  Returns the rows and the rank of A.
+        """
         m, n = self.nrows, self.ncols
-        pivot_row = 0
+        work = [list(row) + list(tail) for row, tail in zip(self.rows, extra)]
+        rank = 0
         for col in range(n):
-            pivot = next((r for r in range(pivot_row, m) if work[r][col] != 0), None)
+            pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
             if pivot is None:
                 continue
-            work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-            lead = work[pivot_row][col]
-            for r in range(pivot_row + 1, m):
+            work[rank], work[pivot] = work[pivot], work[rank]
+            lead = work[rank][col]
+            work[rank] = [a / lead for a in work[rank]]
+            for r in range(m):
                 factor = work[r][col]
-                if factor == 0:
+                if r == rank or factor == 0:
                     continue
-                scale = factor / lead
-                work[r] = [a - scale * b for a, b in zip(work[r], work[pivot_row])]
-            pivot_row += 1
-            if pivot_row == m:
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+            rank += 1
+            if rank == m:
                 break
-        return work
+        return work, rank
 
     def rank(self) -> int:
-        return sum(1 for row in self._eliminated() if any(a != 0 for a in row))
+        return self._reduced([()] * self.nrows)[1]
 
     def solve(self, rhs: RVec) -> RVec | None:
         """Exact solution of a square system; None if singular."""
         n = self.nrows
         if self.ncols != n or len(rhs) != n:
             raise DimensionMismatch("solve requires a square system with a matching rhs")
-        work = [list(self.rows[i]) + [rhs[i]] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                return None
-            work[col], work[pivot] = work[pivot], work[col]
-            lead = work[col][col]
-            work[col] = [a / lead for a in work[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RVec(tuple(work[i][n] for i in range(n)))
+        work, rank = self._reduced([(b,) for b in rhs])
+        if rank < n:
+            return None
+        return RVec(tuple(row[n] for row in work))
 
     def inverse(self) -> "RMatrix | None":
         """Exact inverse; None if singular."""
         n = self.nrows
         if self.ncols != n:
             raise DimensionMismatch("only square matrices can be inverted")
-        work = [list(self.rows[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                return None
-            work[col], work[pivot] = work[pivot], work[col]
-            lead = work[col][col]
-            work[col] = [a / lead for a in work[col]]
-            for r in range(n):
-                if r == col or work[r][col] == 0:
-                    continue
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RMatrix(tuple(tuple(work[i][n:]) for i in range(n)))
+        work, rank = self._reduced(RMatrix.identity(n).rows)
+        if rank < n:
+            return None
+        return RMatrix(tuple(tuple(row[n:]) for row in work))
 
     def one_to_one_norm(self) -> Fraction:
         """Operator norm on (R^n, ||.||_1): the maximum absolute column sum."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Literal, Sequence
 
+from .curve import curve_build
 from .exact import DimensionMismatch, Permutation, RMatrix, RVec, require_weights
 from .halfspace import (
     DimensionCapExceeded,
@@ -31,6 +32,9 @@ ONE = Fraction(1)
 
 LIPSCHITZ_CAP = 5
 
+# lipschitz_constant(n) for n <= LIPSCHITZ_CAP; scripts/lipschitz_constants.py checks it.
+LIPSCHITZ_CONSTANTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 9}
+
 
 class NegativeEntries(ValueError):
     """The operation requires an entrywise nonnegative input vector."""
@@ -39,25 +43,17 @@ class NegativeEntries(ValueError):
 def build_dmaj_hrep(y: RVec, d: RVec) -> HalfspaceSystem:
     """Halfspace description of the set of vectors majorized by y under d.
 
-    Each mask bound is the minimum over i of
-      sum((y - (y_i/d_i) d)_+) + (y_i/d_i) * (sum of d over the mask)
-    and the trace value is the entry sum of y.  The same numbers arise by
-    evaluating the curve of (y, d) at the mask sums of d.
+    Each mask bound is the curve of (y, d) evaluated at the sum of d over
+    the mask, which equals the minimum over i of
+      sum((y - (y_i/d_i) d)_+) + (y_i/d_i) * (sum of d over the mask);
+    the trace value is the entry sum of y.
     """
-    require_weights(d)
-    if len(y) != len(d):
-        raise DimensionMismatch(f"length {len(y)} vs {len(d)}")
-    n = len(y)
-    ratios = [y[i] / d[i] for i in range(n)]
-    offsets = [
-        sum((max(y[j] - t * d[j], ZERO) for j in range(n)), ZERO) for t in ratios
-    ]
+    curve = curve_build(y, d)
 
     def bound(mask: int) -> Fraction:
-        weight = mask_sum(d, mask)
-        return min(offsets[i] + ratios[i] * weight for i in range(n))
+        return curve.eval(mask_sum(d, mask))
 
-    return HalfspaceSystem.from_function(n, bound, y.total())
+    return HalfspaceSystem.from_function(len(y), bound, y.total())
 
 
 def dmaj_vertices(y: RVec, d: RVec, verify: bool = False) -> VPolytope:

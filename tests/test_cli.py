@@ -70,6 +70,36 @@ class TestCheck:
         path = write_problem(tmp_path, "nox.json", {"n": 2, "y": ["1", "0"], "d": ["1", "1"]})
         assert main(["check", path]) == 2
 
+    def test_boolean_dimension_is_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "booln.json", {"n": True, "y": ["1"], "d": ["1"], "x": ["1"]}
+        )
+        assert main(["check", path]) == 2
+
+    def test_boolean_sweep_steps_is_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            "boolsteps.json",
+            {
+                "n": 2,
+                "y": ["1", "0"],
+                "d": ["1", "1"],
+                "sweep": {"d_end": ["2", "1"], "steps": True},
+            },
+        )
+        assert main(["polytope", path]) == 2
+
+    def test_boolean_vector_entry_is_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "boolx.json", {"n": 2, "y": ["1", "0"], "d": ["1", "1"], "x": [True, "1"]}
+        )
+        assert main(["check", path]) == 2
+
+    def test_decider_disagreement_exits_internal(self, monkeypatch, capsys):
+        monkeypatch.setattr("dmajor.cli.find_witness", lambda x, y, d: None)
+        assert main(["check", str(PROBLEMS / "weighted_triple.json")]) == 3
+        assert "internal error" in capsys.readouterr().err
+
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 3, "y": [1,', encoding="utf-8")

@@ -4,8 +4,9 @@ from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmajor import RVec, build_dmaj_hrep, curve_build, curve_eval, curve_leq, dmaj_by_onenorm
+from dmajor import RVec, build_dmaj_hrep, curve_build, curve_leq, dmaj_by_onenorm
 from dmajor.curve import ThermoCurve, curves_equal
 from dmajor.exact import DimensionMismatch, NonPositiveWeight, Permutation
 from dmajor.halfspace import mask_indices, proper_masks
@@ -100,6 +101,16 @@ class TestEval:
             c = total * Fraction(k, 4)
             expected = min(o + t * c for o, t in zip(offsets, ratios))
             assert curve.eval(c) == expected
+
+    @given(rvecs(4), weight_vecs(4), st.fractions(min_value=-40, max_value=40, max_denominator=12))
+    @settings(max_examples=40)
+    def test_potential_equals_positive_part_sum(self, y, d, drawn):
+        curve = curve_build(y, d)
+        ratios = sorted({y[i] / d[i] for i in range(4)})
+        between = [(a + b) / 2 for a, b in zip(ratios, ratios[1:])]
+        outside = [ratios[0] - 1, ratios[-1] + 1]
+        for t in ratios + between + outside + [drawn]:
+            assert curve.potential(t) == (y - d * t).pos_part().total()
 
     def test_mask_sums_reproduce_hrep_bounds(self):
         rng = random.Random(8321)

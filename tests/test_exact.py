@@ -29,6 +29,10 @@ class TestParseRational:
         assert parse_rational(3) == Fraction(3)
         assert parse_rational(Fraction(1, 7)) == Fraction(1, 7)
 
+    def test_boolean_rejected(self):
+        with pytest.raises(TypeError):
+            parse_rational(True)
+
     def test_division_by_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")

@@ -21,6 +21,7 @@ from dmajor import (
 )
 from dmajor.halfspace import HalfspaceSystem, proper_masks
 from dmajor.polytope import b_l1_distance, distance_to_polytope
+from dmajor.polytope import LIPSCHITZ_CONSTANTS
 
 from helpers import (
     rand_convex_weights,
@@ -242,9 +243,12 @@ class TestLipschitz:
         assert lipschitz_constant(1) == 1
         assert lipschitz_constant(2) == 2
         assert lipschitz_constant(3) == 3
+        for n in (1, 2, 3):
+            assert LIPSCHITZ_CONSTANTS[n] == lipschitz_constant(n)
 
     def test_dimension_four_frozen_oracle_value(self):
         assert lipschitz_constant(4) == 5
+        assert LIPSCHITZ_CONSTANTS[4] == lipschitz_constant(4)
 
     def test_cap_enforced(self):
         with pytest.raises(DimensionCapExceeded):
