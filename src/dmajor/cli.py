@@ -77,7 +77,7 @@ def _parse_vector(data: Any, name: str, n: int) -> RVec:
         raise InputError(f"field '{name}' must be a non-empty list of rationals")
     try:
         vec = RVec.parse(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"field '{name}': {exc}") from exc
     if len(vec) != n:
         raise InputError(f"field '{name}' has length {len(vec)}, expected n = {n}")

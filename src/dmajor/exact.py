@@ -2,17 +2,24 @@
 
 Every quantity in this package is a :class:`fractions.Fraction`; no floating
 point enters any decision procedure.  Vectors and matrices are immutable and
-safe to share between threads.
+safe to share between threads.  :func:`eliminate` is the one exact
+Gauss-Jordan step: :class:`RMatrix` and the simplex in :mod:`dmajor.lp` both
+pivot through it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+# Largest decimal exponent magnitude parse_rational accepts ("1e1000").
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)$")
 
 
 class DimensionMismatch(ValueError):
@@ -23,8 +30,14 @@ class NonPositiveWeight(ValueError):
     """A weight vector contains a zero or negative entry."""
 
 
+class ZeroDenominator(ValueError, ZeroDivisionError):
+    """A "p/0" literal: malformed input, not an arithmetic fault."""
+
+
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an integer, a "p/q" string or a finite decimal, exactly.
+
+    A zero denominator or an exponent beyond ``MAX_EXPONENT`` is a ValueError.
 
     >>> parse_rational("0.3")
     Fraction(3, 10)
@@ -36,7 +49,14 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ZeroDenominator(f"zero denominator in {text!r}") from None
     raise TypeError(f"cannot parse {value!r} as an exact rational")
 
 
@@ -202,6 +222,21 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(image)
 
 
+def eliminate(rows: list[list[Fraction]], prow: int, pcol: int) -> None:
+    """Scale row ``prow`` to a 1 at ``pcol``, then clear ``pcol`` elsewhere.
+
+    The one exact Gauss-Jordan step, in place; zero factors and zero entries
+    of the pivot row are skipped.
+    """
+    lead = rows[prow][pcol]
+    pivot = rows[prow] = [a / lead for a in rows[prow]]
+    for r, row in enumerate(rows):
+        factor = row[pcol]
+        if r == prow or factor == 0:
+            continue
+        rows[r] = [a - factor * b if b else a for a, b in zip(row, pivot)]
+
+
 @dataclass(frozen=True)
 class RMatrix:
     """Dense matrix of exact rationals, stored row-major."""
@@ -266,13 +301,7 @@ class RMatrix:
             if pivot is None:
                 continue
             work[rank], work[pivot] = work[pivot], work[rank]
-            lead = work[rank][col]
-            work[rank] = [a / lead for a in work[rank]]
-            for r in range(m):
-                factor = work[r][col]
-                if r == rank or factor == 0:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+            eliminate(work, rank, col)
             rank += 1
             if rank == m:
                 break

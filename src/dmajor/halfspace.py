@@ -22,7 +22,7 @@ from .lp import LinearProgram, feasible
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-GENERIC_ENUMERATION_CAP = 8
+GENERIC_ENUMERATION_CAP = 5
 PERMUTATION_SWEEP_CAP = 7
 MAX_N_ENV = "DMAJOR_MAX_N"
 

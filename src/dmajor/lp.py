@@ -3,7 +3,12 @@
 A small dense two-phase simplex with Bland's anti-cycling rule, used for
 feasibility questions (witness construction, emptiness detection, convex-hull
 membership) and for 1-norm point-to-polytope distances.  All pivots are done
-in Fraction arithmetic; answers are exact.
+in Fraction arithmetic by :func:`dmajor.exact.eliminate`; answers are exact.
+
+Tableau: one ``[columns... | rhs]`` row per constraint, then the objective
+row ``[reduced costs... | -value]``, priced once per phase and updated by
+every pivot.  Phase 1 adds one artificial column per row; phase 2 drops them
+and the all-zero redundant rows, and runs on the structural columns only.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RationalLike, parse_rational
+from .exact import RationalLike, eliminate, parse_rational
 
 Row = tuple[Fraction, ...]
 
@@ -130,69 +135,37 @@ class _Standardized:
         return tuple(x)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], prow: int, pcol: int) -> None:
-    lead = tableau[prow][pcol]
-    tableau[prow] = [v / lead for v in tableau[prow]]
-    prow_vals = tableau[prow]
-    for r, row in enumerate(tableau):
-        if r == prow:
-            continue
-        factor = row[pcol]
-        if factor == 0:
-            continue
-        tableau[r] = [a - factor * b for a, b in zip(row, prow_vals)]
-    basis[prow] = pcol
-
-
-def _reduced_costs(
-    tableau: list[list[Fraction]], basis: list[int], cost: Sequence[Fraction]
+def _objective_row(
+    rows: Sequence[Sequence[Fraction]], basis: Sequence[int], cost: Sequence[Fraction]
 ) -> list[Fraction]:
-    ncols = len(tableau[0]) - 1
-    reduced = list(cost)
-    for r, bv in enumerate(basis):
+    """Reduced costs of ``cost`` in the given basis, then minus the objective value."""
+    objective = list(cost) + [ZERO]
+    for row, bv in zip(rows, basis):
         cb = cost[bv]
         if cb == 0:
             continue
-        row = tableau[r]
-        for j in range(ncols):
-            if row[j] != 0:
-                reduced[j] -= cb * row[j]
-    return reduced
+        for j, a in enumerate(row):
+            if a != 0:
+                objective[j] -= cb * a
+    return objective
 
 
-def _simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: Sequence[Fraction],
-    banned: frozenset[int] = frozenset(),
-) -> bool:
-    """Minimize cost over the tableau with Bland's rule.
+def _simplex(tableau: list[list[Fraction]], basis: list[int]) -> bool:
+    """Minimize the objective kept in the last tableau row, by Bland's rule.
 
     Returns False when an unbounded descent direction is found, else True.
     """
-    ncols = len(tableau[0]) - 1
     while True:
-        reduced = _reduced_costs(tableau, basis, cost)
-        enter = next(
-            (j for j in range(ncols) if j not in banned and reduced[j] < 0), None
-        )
+        enter = next((j for j, c in enumerate(tableau[-1][:-1]) if c < 0), None)
         if enter is None:
             return True
-        best_ratio: Fraction | None = None
-        leave = -1
-        for r, row in enumerate(tableau):
-            coef = row[enter]
-            if coef <= 0:
-                continue
-            ratio = row[-1] / coef
-            if best_ratio is None or ratio < best_ratio or (
-                ratio == best_ratio and basis[r] < basis[leave]
-            ):
-                best_ratio = ratio
-                leave = r
-        if best_ratio is None:
+        rows = [r for r in range(len(basis)) if tableau[r][enter] > 0]
+        if not rows:
             return False
-        _pivot(tableau, basis, leave, enter)
+        # Ratio test; ties go to the smallest basic variable (Bland).
+        leave = min(rows, key=lambda r: (tableau[r][-1] / tableau[r][enter], basis[r]))
+        eliminate(tableau, leave, enter)
+        basis[leave] = enter
 
 
 def solve(lp: LinearProgram) -> LpResult:
@@ -202,50 +175,44 @@ def solve(lp: LinearProgram) -> LpResult:
     m = len(std.rows)
     ncols = std.ncols
 
-    if m == 0:
-        # Unconstrained: optimum is 0 iff no profitable column exists.
-        if any(c < 0 for c in std.cost):
-            return LpResult("unbounded")
-        return LpResult("optimal", ZERO, std.recover([ZERO] * ncols))
-
-    # Phase 1: artificial basis.
+    # Phase 1: artificial basis, minimizing the sum of the artificials.
     tableau = [std.rows[r] + [ZERO] * m + [std.rhs[r]] for r in range(m)]
     for r in range(m):
         tableau[r][ncols + r] = ONE
     basis = [ncols + r for r in range(m)]
-    phase1_cost = [ZERO] * ncols + [ONE] * m
-    _simplex(tableau, basis, phase1_cost)
+    tableau.append(_objective_row(tableau, basis, [ZERO] * ncols + [ONE] * m))
+    _simplex(tableau, basis)
 
-    art_value = sum((tableau[r][-1] for r in range(m) if basis[r] >= ncols), ZERO)
-    if art_value > 0:
+    if tableau[m][-1] < 0:
         # Simplex multipliers of the phase-1 optimum give a Farkas witness
         # w with A^T w <= 0 and b^T w > 0 for the standardized system.
-        reduced = _reduced_costs(tableau, basis, phase1_cost)
-        w = [ONE - reduced[ncols + r] for r in range(m)]
+        w = [ONE - tableau[m][ncols + r] for r in range(m)]
         w = [-wi if std.flipped[r] else wi for r, wi in enumerate(w)]
         return LpResult("infeasible", certificate=tuple(w))
 
     # Drive remaining artificials out of the basis.  Their rows have rhs 0,
     # so pivoting there changes no right-hand side; rows with no structural
-    # entry left are redundant and stay inert.
+    # entry left are redundant.
     for r in range(m):
         if basis[r] < ncols:
             continue
         col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
         if col is not None:
-            _pivot(tableau, basis, r, col)
+            eliminate(tableau, r, col)
+            basis[r] = col
 
-    # Phase 2: any artificial still basic sits in an all-zero redundant row
-    # and can never change value; entering is banned for artificial columns.
-    banned = frozenset(range(ncols, ncols + m))
-    bounded = _simplex(tableau, basis, list(std.cost) + [ZERO] * m, banned)
-    if not bounded:
+    # Phase 2 on the structural columns: the redundant rows (all zero, with
+    # an artificial still basic) and the artificial columns are dropped.
+    kept = [r for r in range(m) if basis[r] < ncols]
+    tableau = [tableau[r][:ncols] + [tableau[r][-1]] for r in kept]
+    basis = [basis[r] for r in kept]
+    tableau.append(_objective_row(tableau, basis, std.cost))
+    if not _simplex(tableau, basis):
         return LpResult("unbounded")
 
     z = [ZERO] * ncols
     for r, bv in enumerate(basis):
-        if bv < ncols:
-            z[bv] = tableau[r][-1]
+        z[bv] = tableau[r][-1]
     assignment = std.recover(z)
     value = sum((c * v for c, v in zip(lp.objective, assignment)), ZERO)
     return LpResult("optimal", value, assignment)

@@ -95,6 +95,39 @@ class TestCheck:
         )
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize("command", ["polytope", "check"])
+    def test_zero_denominator_sweep_bound_is_input_error(self, tmp_path, capsys, command):
+        path = write_problem(
+            tmp_path,
+            "zeroden.json",
+            {
+                "n": 2,
+                "y": ["1", "0"],
+                "d": ["1", "1"],
+                "x": ["1", "0"],
+                "sweep": {"d_end": ["2", "1"], "start": "1/0"},
+            },
+        )
+        assert main([command, path]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_zero_denominator_sweep_option_is_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path,
+            "sweep.json",
+            {"n": 2, "y": ["1", "0"], "d": ["1", "1"], "sweep": {"d_end": ["2", "1"]}},
+        )
+        assert main(["polytope", path, "--sweep", "1/0", "1", "3"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_exponent_is_input_error(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "hugeexp.json", {"n": 2, "y": ["1e1000000", "0"], "d": ["1", "1"]}
+        )
+        assert main(["polytope", path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "exponent" in err
+
     def test_decider_disagreement_exits_internal(self, monkeypatch, capsys):
         monkeypatch.setattr("dmajor.cli.find_witness", lambda x, y, d: None)
         assert main(["check", str(PROBLEMS / "weighted_triple.json")]) == 3
@@ -121,6 +154,7 @@ class TestCheck:
         assert all(v >= 0 for row in rows for v in row)
         assert RVec(tuple(sum(rows[i][j] * d[j] for j in range(3)) for i in range(3))) == d
         assert RVec(tuple(sum(rows[i][j] * y[j] for j in range(3)) for i in range(3))) == x
+        assert witness == [["1/2", "1", "0"], ["1/2", "0", "0"], ["0", "0", "1"]]
 
 
 class TestPolytope:

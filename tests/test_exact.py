@@ -37,6 +37,17 @@ class TestParseRational:
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
 
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("-3/0")
+
+    def test_exponent_bounded(self):
+        assert parse_rational("1e1000") == 10**1000
+        assert parse_rational("-2.5E-1000") == Fraction(-25, 10**1001)
+        for text in ("1e1001", "1e-1001", "1e1000000", "1E+1_001"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_rational(text)
+
     def test_lowest_terms_and_positive_denominator(self):
         v = parse_rational("-4/8")
         assert (v.numerator, v.denominator) == (-1, 2)

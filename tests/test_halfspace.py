@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmajor import (
+    DimensionCapExceeded,
     DimensionMismatch,
     EmptyIntersection,
     HalfspaceSystem,
@@ -237,6 +238,11 @@ class TestDimensionCaps:
         big = classical_hrep(RVec.zeros(8))
         with pytest.raises(Exception, match="DMAJOR_MAX_N"):
             corners_with_labels(big)
+
+    def test_generic_enumeration_cap(self, monkeypatch):
+        monkeypatch.delenv("DMAJOR_MAX_N", raising=False)
+        with pytest.raises(DimensionCapExceeded, match="DMAJOR_MAX_N"):
+            enumerate_vertices(classical_hrep(RVec.zeros(6)))
 
     def test_env_var_raises_cap(self, monkeypatch):
         monkeypatch.setenv("DMAJOR_MAX_N", "8")

@@ -65,6 +65,13 @@ def test_degenerate_redundant_rows():
     point = feasible(lp)
     assert point is not None
     assert point[0] + point[1] == 2
+    lp = LinearProgram.build(
+        [1, 0], eq=[([1, 1], 2), ([2, 2], 4), ([1, 1], 2)], nonneg=True
+    )
+    assert minimize(lp) == (0, (0, 2))
+    lp = LinearProgram.build([-1, 0], eq=[([1, -1], 0), ([2, -2], 0)], nonneg=True)
+    with pytest.raises(UnboundedProgram):
+        minimize(lp)
 
 
 def _assignment_satisfies(lp: LinearProgram, point) -> bool:
