@@ -19,6 +19,9 @@ RationalLike = Union[Fraction, int, str]
 
 # Largest decimal exponent magnitude parse_rational accepts ("1e1000").
 MAX_EXPONENT = 1000
+# Largest mantissa digit count plus exponent magnitude of a decimal literal; below
+# Python's 4,300-digit int<->str limit, so a parsed value can be written back out.
+MAX_DECIMAL_DIGITS = 4000
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)$")
 
 
@@ -37,7 +40,9 @@ class ZeroDenominator(ValueError, ZeroDivisionError):
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an integer, a "p/q" string or a finite decimal, exactly.
 
-    A zero denominator or an exponent beyond ``MAX_EXPONENT`` is a ValueError.
+    A zero denominator, an exponent beyond ``MAX_EXPONENT``, or a decimal
+    whose mantissa digits plus exponent magnitude exceed ``MAX_DECIMAL_DIGITS``
+    is a ValueError.
 
     >>> parse_rational("0.3")
     Fraction(3, 10)
@@ -51,8 +56,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_EXPONENT:
+        power = abs(int(exponent.group(1).replace("_", ""))) if exponent else 0
+        if power > MAX_EXPONENT:
             raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+        mantissa = text[: exponent.start()] if exponent else text
+        if "/" not in text and sum(c.isdigit() for c in mantissa) + power > MAX_DECIMAL_DIGITS:
+            raise ValueError(f"decimal literal {text!r} needs over {MAX_DECIMAL_DIGITS} digits")
         try:
             return Fraction(text)
         except ZeroDivisionError:

@@ -5,7 +5,8 @@ whose rows are all 0/1 indicator vectors plus the trace row and its
 negation; only the right-hand side b varies.  The matrix is never stored:
 rows are addressed by subset bitmasks and the system is just the lookup
 mask -> b together with the trace value (the two trace rows carry T and
--T, so the trace plane is an equality).
+-T, so the trace plane is an equality).  All mask sums come from one
+recurrence, :func:`subset_sums`; the corner sweep sorts its corners by entries.
 """
 
 from __future__ import annotations
@@ -65,16 +66,18 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def mask_sum(v: RVec, mask: int) -> Fraction:
-    """Row-times-vector for the 0/1 row with ones at the mask positions."""
-    total = ZERO
-    i = 0
-    while mask:
-        if mask & 1:
-            total += v.entries[i]
-        mask >>= 1
-        i += 1
-    return total
+def subset_sums(v: RVec) -> Iterator[Fraction]:
+    """Row-times-vector for masks 0, 1, ..., 2^n - 1, in that order.
+
+    A mask's sum is the sum without its lowest bit plus one entry, so each
+    mask costs one addition; stopping early skips the remaining masks.
+    """
+    sums = [ZERO]
+    yield ZERO
+    for m in range(1, 1 << len(v)):
+        low = m & -m
+        sums.append(sums[m ^ low] + v.entries[low.bit_length() - 1])
+        yield sums[m]
 
 
 def proper_masks(n: int) -> Iterator[int]:
@@ -142,11 +145,11 @@ class HalfspaceSystem:
             raise DimensionMismatch(f"system dimension {self.n}, vector length {len(x)}")
 
     def contains(self, x: RVec) -> bool:
-        """Membership: every proper-row bound holds and the trace matches."""
+        """Membership: the trace matches and every row bound holds (stops at a violation)."""
         self._check_dim(x)
         if x.total() != self.trace:
             return False
-        return all(mask_sum(x, m) <= self.bvals[m] for m in range(1, self.full_mask))
+        return all(s <= b for s, b in zip(subset_sums(x), self.bvals))
 
     def is_subset_of(self, other: "HalfspaceSystem") -> bool:
         """Componentwise b comparison with equal traces."""
@@ -159,10 +162,7 @@ class HalfspaceSystem:
     def translate(self, p: RVec) -> "HalfspaceSystem":
         """Shift the solution set by p: b(S) -> b(S) + sum of p over S."""
         self._check_dim(p)
-        vals = list(self.bvals)
-        for m in range(1, self.full_mask + 1):
-            vals[m] = vals[m] + mask_sum(p, m)
-        return HalfspaceSystem(self.n, tuple(vals))
+        return HalfspaceSystem(self.n, tuple(b + s for b, s in zip(self.bvals, subset_sums(p))))
 
     def intersect(self, other: "HalfspaceSystem") -> "HalfspaceSystem":
         """Componentwise minimum of bounds; traces must agree."""
@@ -244,11 +244,10 @@ def enumerate_vertices(sys: HalfspaceSystem) -> VPolytope:
         return VPolytope(n, (), sys)
 
     full = sys.full_mask
-    trace_row = row_vector(n, full)
-    candidates = list(range(1, full))
+    row_of = [row_vector(n, m) for m in range(full + 1)]
     found: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(candidates, n - 1):
-        rows = [row_vector(n, m) for m in subset] + [trace_row]
+    for subset in combinations(range(1, full), n - 1):
+        rows = [row_of[m] for m in subset] + [row_of[full]]
         rhs = RVec(tuple(sys.bvals[m] for m in subset) + (sys.trace,))
         point = RMatrix(tuple(rows)).solve(rhs)
         if point is None:
@@ -259,18 +258,16 @@ def enumerate_vertices(sys: HalfspaceSystem) -> VPolytope:
 
 
 def corners_with_labels(sys: HalfspaceSystem) -> list[tuple[RVec, Permutation]]:
-    """All distinct corners with their first generating permutation."""
+    """All distinct corners, sorted by entries, with their first generating
+    permutation."""
     n = sys.n
     cap = dimension_cap(PERMUTATION_SWEEP_CAP)
     if n > cap:
         raise DimensionCapExceeded(
             f"permutation sweeps support n <= {cap} (set {MAX_N_ENV} to raise)"
         )
-    out: list[tuple[RVec, Permutation]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    first: dict[tuple[Fraction, ...], tuple[RVec, Permutation]] = {}
     for sigma in all_permutations(n):
         point = sys.corner(sigma)
-        if point.entries not in seen:
-            seen.add(point.entries)
-            out.append((point, sigma))
-    return out
+        first.setdefault(point.entries, (point, sigma))
+    return [first[e] for e in sorted(first)]

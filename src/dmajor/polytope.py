@@ -4,6 +4,9 @@ Construction of its halfspace description, the closed-form extreme points,
 the corner that classically majorizes the whole polytope for nonnegative
 input, exact 1-norm Hausdorff distances between vertex-described polytopes,
 and the Lipschitz constant of the map from right-hand sides to polytopes.
+Each vertex-to-polytope distance is one equality-form LP: the point is a
+convex combination of the vertices plus p - q with p, q >= 0, and the LP
+minimizes sum(p + q).
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from .halfspace import (
     HalfspaceSystem,
     VPolytope,
     corners_with_labels,
-    enumerate_vertices,
-    mask_sum,
-    proper_masks,
     row_vector,
+    subset_sums,
 )
 from .lp import LinearProgram, minimize
 
@@ -49,28 +50,18 @@ def build_dmaj_hrep(y: RVec, d: RVec) -> HalfspaceSystem:
     the trace value is the entry sum of y.
     """
     curve = curve_build(y, d)
-
-    def bound(mask: int) -> Fraction:
-        return curve.eval(mask_sum(d, mask))
-
-    return HalfspaceSystem.from_function(len(y), bound, y.total())
+    dsums = list(subset_sums(d))
+    return HalfspaceSystem.from_function(len(y), lambda m: curve.eval(dsums[m]), y.total())
 
 
-def dmaj_vertices(y: RVec, d: RVec, verify: bool = False) -> VPolytope:
+def dmaj_vertices(y: RVec, d: RVec) -> VPolytope:
     """All extreme points, generated corner by corner over the permutations.
 
     The corner sweep is complete for systems of this shape, so no generic
-    enumeration is needed; ``verify=True`` runs it anyway and checks the
-    two vertex sets coincide.
+    enumeration is needed.
     """
     sys = build_dmaj_hrep(y, d)
-    labelled = corners_with_labels(sys)
-    poly = VPolytope.from_points([p for p, _ in labelled], sys)
-    if verify:
-        generic = enumerate_vertices(sys)
-        if generic.vertex_set() != poly.vertex_set():
-            raise AssertionError("corner sweep and generic enumeration disagree")
-    return poly
+    return VPolytope(len(y), tuple(p for p, _ in corners_with_labels(sys)), sys)
 
 
 def classical_max_corner(y: RVec, d: RVec) -> RVec:
@@ -81,16 +72,13 @@ def classical_max_corner(y: RVec, d: RVec) -> RVec:
     nonincreasingly (ties by index); its ratio vector against d is ordered
     like d itself.
     """
-    require_weights(d)
-    if len(y) != len(d):
-        raise DimensionMismatch(f"length {len(y)} vs {len(d)}")
+    sys = build_dmaj_hrep(y, d)
     if not y.is_nonnegative():
         raise NegativeEntries(
             "y has negative entries; no classical maximum exists in general"
         )
-    n = len(y)
-    order = sorted(range(n), key=lambda i: (-d[i], i))
-    return build_dmaj_hrep(y, d).corner(Permutation(tuple(order)))
+    order = sorted(range(len(y)), key=lambda i: (-d[i], i))
+    return sys.corner(Permutation(tuple(order)))
 
 
 @dataclass(frozen=True)
@@ -103,26 +91,23 @@ class HausdorffResult:
 def distance_to_polytope(point: RVec, poly: VPolytope) -> Fraction:
     """Exact min 1-norm distance from a point to a convex hull, by LP.
 
-    Variables are the hull coefficients and one absolute-value slack per
-    coordinate; minimizes the sum of slacks.
+    Equality form: point = sum_j lambda_j v_j + p - q with lambda, p, q >= 0
+    and sum_j lambda_j = 1 (one row per coordinate plus the convexity row);
+    minimizes sum(p + q).
     """
     if poly.is_empty:
         raise ValueError("distance to an empty polytope is undefined")
     n = len(point)
     m = len(poly.vertices)
-    nv = m + n  # lambda_0..lambda_{m-1}, s_0..s_{n-1}
-    objective = [ZERO] * m + [ONE] * n
-    eq = [([ONE] * m + [ZERO] * n, ONE)]
-    ub: list[tuple[list[Fraction], Fraction]] = []
+    # variables: lambda_0..lambda_{m-1}, p_0..p_{n-1}, q_0..q_{n-1}
+    objective = [ZERO] * m + [ONE] * (2 * n)
+    eq = [([ONE] * m + [ZERO] * (2 * n), ONE)]
     for k in range(n):
-        # point_k - sum_j lambda_j v_jk <= s_k and its negation
-        row_plus = [-poly.vertices[j][k] for j in range(m)] + [ZERO] * n
-        row_plus[m + k] = -ONE
-        ub.append((row_plus, -point[k]))
-        row_minus = [poly.vertices[j][k] for j in range(m)] + [ZERO] * n
-        row_minus[m + k] = -ONE
-        ub.append((row_minus, point[k]))
-    lp = LinearProgram.build(objective, eq=eq, ub=ub, nonneg=True)
+        row = [v[k] for v in poly.vertices] + [ZERO] * (2 * n)
+        row[m + k] = ONE
+        row[m + n + k] = -ONE
+        eq.append((row, point[k]))
+    lp = LinearProgram.build(objective, eq=eq, nonneg=True)
     value, _ = minimize(lp)
     return value
 
@@ -174,9 +159,7 @@ def b_l1_distance(a: HalfspaceSystem, b: HalfspaceSystem) -> Fraction:
     """1-norm distance between full right-hand sides, trace rows included."""
     if a.n != b.n:
         raise DimensionMismatch("systems of different dimension")
-    total = sum(
-        (abs(a.bvals[m] - b.bvals[m]) for m in proper_masks(a.n)), ZERO
-    )
+    total = sum((abs(a.bvals[m] - b.bvals[m]) for m in range(1, a.full_mask)), ZERO)
     return total + 2 * abs(a.trace - b.trace)
 
 

@@ -55,11 +55,14 @@ def _polygon_order(points: list[tuple[Fraction, Fraction]]) -> list[int]:
 
 def render_polytope_svg(
     poly: VPolytope,
-    labels: dict[tuple[Fraction, ...], Permutation],
+    labels: list[Permutation],
     trace: Fraction,
     title: str = "",
 ) -> str:
-    """Simplex outline, polytope polygon and labelled vertices as SVG text."""
+    """Simplex outline, polytope polygon and labelled vertices as SVG text.
+
+    ``labels[i]`` is the permutation whose corner is ``poly.vertices[i]``.
+    """
     projected = [project(v, trace) for v in poly.vertices]
     order = _polygon_order(projected)
 
@@ -99,13 +102,11 @@ def render_polytope_svg(
         f'stroke="#1c5a99" stroke-width="2"/>'
     )
 
-    for v, (px, py) in zip(poly.vertices, projected):
+    for sigma, (px, py) in zip(labels, projected, strict=True):
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#1c5a99"/>')
-        sigma = labels.get(v.entries)
-        label = f"σ={sigma.one_based()}" if sigma is not None else str(v)
         parts.append(
             f'<text x="{_fmt(px + 7)}" y="{_fmt(py - 7)}" font-size="12" '
-            f'font-family="sans-serif">{label}</text>'
+            f'font-family="sans-serif">σ={sigma.one_based()}</text>'
         )
 
     parts.append("</svg>")

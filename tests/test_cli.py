@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,23 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "error:" in err and "exponent" in err
 
+    def test_oversized_decimal_is_input_error(self, tmp_path, capsys):
+        literal = "1" * 4000 + "e1000"
+        payload = {"n": 2, "y": [literal, "0"], "d": ["1", "1"]}
+        path = write_problem(tmp_path, "bigdec.json", payload)
+        assert main(["polytope", path]) == 2
+        err = capsys.readouterr().err
+        assert "error: field 'y'" in err and "decimal literal" in err
+
+    def test_directory_as_problem_is_input_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_json_output_is_input_error(self, tmp_path, capsys):
+        problem = str(PROBLEMS / "weighted_triple.json")
+        assert main(["check", problem, "--json", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_decider_disagreement_exits_internal(self, monkeypatch, capsys):
         monkeypatch.setattr("dmajor.cli.find_witness", lambda x, y, d: None)
         assert main(["check", str(PROBLEMS / "weighted_triple.json")]) == 3
@@ -254,6 +272,17 @@ class TestPolytope:
         assert text.startswith("<svg")
         assert text.count("<polygon") == 2
         assert "σ=" in text
+
+    def test_svg_labels_follow_json_vertex_order(self, tmp_path):
+        out_svg, out_json = tmp_path / "fig.svg", tmp_path / "out.json"
+        args = ["polytope", str(PROBLEMS / "weighted_triple.json"), "--svg", str(out_svg)]
+        assert main(args + ["--json", str(out_json)]) == 0
+        svg_labels = [
+            [int(k) for k in group.split(", ")]
+            for group in re.findall(r"σ=\(([^)]*)\)", out_svg.read_text())
+        ]
+        assert svg_labels == json.loads(out_json.read_text())["results"]["vertex_labels"]
+        assert len(svg_labels) == 6
 
     def test_svg_rejected_for_other_dimensions(self, tmp_path, capsys):
         path = write_problem(

@@ -48,6 +48,18 @@ class TestParseRational:
             with pytest.raises(ValueError, match="exponent"):
                 parse_rational(text)
 
+    def test_decimal_size_bounded(self):
+        from dmajor.exact import MAX_DECIMAL_DIGITS as limit
+
+        assert limit < 4300
+        ones = "1" * (limit - 1000)
+        assert parse_rational(ones + "e1000") == int(ones) * 10**1000
+        assert parse_rational(ones + ".5e-999") == Fraction(int(ones + "5"), 10**1000)
+        too_long = ("1" * 4000 + "e1000", ones + "1e1000", "-0." + "1" * limit, "9" * (limit + 1))
+        for text in too_long:
+            with pytest.raises(ValueError, match="decimal literal"):
+                parse_rational(text)
+
     def test_lowest_terms_and_positive_denominator(self):
         v = parse_rational("-4/8")
         assert (v.numerator, v.denominator) == (-1, 2)

@@ -22,6 +22,7 @@ from dmajor import (
 from dmajor.halfspace import HalfspaceSystem, proper_masks
 from dmajor.polytope import b_l1_distance, distance_to_polytope
 from dmajor.polytope import LIPSCHITZ_CONSTANTS
+from dmajor.lp import in_convex_hull
 
 from helpers import (
     rand_convex_weights,
@@ -103,11 +104,13 @@ class TestVertices:
         rng = random.Random(900 + n)
         for _ in range(6):
             y, d = rand_rvec(rng, n), rand_weights(rng, n)
-            poly = dmaj_vertices(y, d, verify=True)
-            assert not poly.is_empty
+            generic = enumerate_vertices(build_dmaj_hrep(y, d))
+            assert dmaj_vertices(y, d).vertex_set() == generic.vertex_set()
 
-    def test_verify_flag_runs_generic_path(self):
-        poly = dmaj_vertices(RVec.of(4, -2, 2), RVec.of(4, 2, 1), verify=True)
+    def test_generic_path_confirms_six_corners(self):
+        y, d = RVec.of(4, -2, 2), RVec.of(4, 2, 1)
+        poly = dmaj_vertices(y, d)
+        assert poly.vertex_set() == enumerate_vertices(build_dmaj_hrep(y, d)).vertex_set()
         assert len(poly.vertices) == 6
 
 
@@ -236,6 +239,28 @@ class TestHausdorff:
         poly = dmaj_vertices(y, d)
         doubled = VPolytope.from_points(list(poly.vertices) + [poly.vertices[0]])
         assert hausdorff(poly, doubled).distance == 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_distance_zero_iff_in_hull(self, n):
+        rng = random.Random(65 + n)
+        outcomes = set()
+        for _ in range(3):
+            y, d = rand_rvec(rng, n), rand_weights(rng, n)
+            target = dmaj_vertices(y, d)
+            hsys = target.origin
+            other = build_dmaj_hrep(rand_trace_matched(rng, y), rand_weights(rng, n))
+            points = []
+            for sys in (hsys.translate(rand_rvec(rng, n, -1, 1)), hsys.intersect(other)):
+                points.extend(enumerate_vertices(sys).vertices)
+            for _ in range(4):
+                a, b = rng.choice(points), rng.choice(target.vertices)
+                w = rand_convex_weights(rng, 2)
+                points.append(a * w[0] + b * w[1])
+            for point in points:
+                inside = in_convex_hull(point.entries, [v.entries for v in target.vertices])
+                assert (distance_to_polytope(point, target) == 0) == inside
+                outcomes.add(inside)
+        assert outcomes == {True, False}
 
 
 class TestLipschitz:
