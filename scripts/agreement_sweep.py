@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Randomized cross-check of the three deciders against the witness LP.
+"""Randomized cross-check of the three deciders and the two witness routes.
 
 Samples (x, y, d) triples mixing guaranteed-positive instances (convex
 combinations of polytope corners), trace-matched vectors and unconstrained
-ones, and verifies that all four decision routes agree and every witness
-satisfies its defining equations exactly.
+ones, and verifies that all five decision routes agree -- the three
+deciders, the balayage witness ``find_witness`` and the simplex witness
+``find_witness_lp`` -- and that every witness from either route satisfies
+its defining equations exactly.
 """
 
 import argparse
@@ -17,7 +19,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from helpers import rand_majorized_point, rand_rvec, rand_trace_matched, rand_weights
 
-from dmajor import dmaj_by_curve, dmaj_by_onenorm, dmaj_by_positive_parts, find_witness
+from dmajor import (
+    dmaj_by_curve,
+    dmaj_by_onenorm,
+    dmaj_by_positive_parts,
+    find_witness,
+    find_witness_lp,
+)
 
 
 def main() -> None:
@@ -45,13 +53,18 @@ def main() -> None:
             dmaj_by_onenorm(x, y, d),
             dmaj_by_curve(x, y, d),
         )
-        witness = find_witness(x, y, d)
-        if len({*votes, witness is not None}) != 1:
-            print(f"DISAGREEMENT at instance {k}: x={x} y={y} d={d} votes={votes}")
+        witnesses = (find_witness(x, y, d), find_witness_lp(x, y, d))
+        found = tuple(w is not None for w in witnesses)
+        if len({*votes, *found}) != 1:
+            print(
+                f"DISAGREEMENT at instance {k}: x={x} y={y} d={d} "
+                f"votes={votes} witnesses={found}"
+            )
             raise SystemExit(1)
-        if witness is not None:
+        if found[0]:
             positives += 1
-            assert witness.apply(y) == x and witness.apply(d) == d
+            for w in witnesses:
+                assert w.apply(y) == x and w.apply(d) == d
     elapsed = time.monotonic() - start
     print(
         f"{args.count} instances, {positives} hold, 0 disagreements ({elapsed:.1f}s)"

@@ -24,6 +24,7 @@ from .dmaj import (
     dmaj_by_onenorm,
     dmaj_by_positive_parts,
     find_witness,
+    find_witness_lp,
     maximal_element,
     minimal_element,
     similarly_d_ordered,
@@ -77,6 +78,7 @@ __all__ = [
     "enumerate_vertices",
     "feasible",
     "find_witness",
+    "find_witness_lp",
     "hausdorff",
     "lipschitz_constant",
     "maximal_element",

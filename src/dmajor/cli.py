@@ -122,12 +122,28 @@ def load_problem(path: str | Path) -> ProblemFile:
     return ProblemFile(n, y, d, x, sweep)
 
 
+def _text(value: Any) -> str:
+    """``str`` of a rational, a vector or a matrix for output.
+
+    Inputs are bounded at parse time, but values derived from them can pass
+    the interpreter's int-to-str digit limit; that is reported as an input
+    error, without raising the limit for the whole process.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(
+            f"a derived value needs more than {sys.get_int_max_str_digits():,} "
+            "digits to print"
+        ) from exc
+
+
 def _vec_json(v: RVec) -> list[str]:
-    return [str(e) for e in v.entries]
+    return [_text(e) for e in v.entries]
 
 
 def _matrix_json(m: StochMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in m.entries.rows]
+    return [[_text(v) for v in row] for row in m.entries.rows]
 
 
 def _emit_json(path: str, n: int, inputs: dict[str, Any], results: dict[str, Any]) -> None:
@@ -137,7 +153,7 @@ def _emit_json(path: str, n: int, inputs: dict[str, Any], results: dict[str, Any
 
 def _hrep_json(sys) -> list[dict[str, Any]]:
     return [
-        {"mask": [i + 1 for i in mask_indices(m)], "value": str(sys.b(m))}
+        {"mask": [i + 1 for i in mask_indices(m)], "value": _text(sys.b(m))}
         for m in proper_masks(sys.n)
     ]
 
@@ -228,14 +244,14 @@ def cmd_polytope(args: argparse.Namespace) -> int:
     problem = load_problem(args.file)
     y, d, n = problem.y, problem.d, problem.n
     hsys = build_dmaj_hrep(y, d)
-    results: dict[str, Any] = {"T": str(hsys.trace)}
+    results: dict[str, Any] = {"T": _text(hsys.trace)}
 
     show_hrep = args.hrep or not (args.vertices or args.hrep)
     show_vertices = args.vertices or not (args.vertices or args.hrep)
 
     results["b"] = _hrep_json(hsys)
     if show_hrep:
-        print(f"T = {hsys.trace}")
+        print(f"T = {results['T']}")
         for entry in results["b"]:
             print(f"  b{entry['mask']} = {entry['value']}")
 
@@ -247,7 +263,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
     if show_vertices:
         print(f"{len(poly.vertices)} extreme points:")
         for v, sigma in labelled:
-            print(f"  {v}  σ={sigma.one_based()}")
+            print(f"  {_text(v)}  σ={sigma.one_based()}")
 
     if args.max_corner:
         try:
@@ -256,7 +272,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return EXIT_NEGATIVE
         results["max_corner"] = _vec_json(z)
-        print(f"classically maximal corner: {z}")
+        print(f"classically maximal corner: {_text(z)}")
 
     if args.curve:
         curve = curve_build(y, d)
@@ -265,8 +281,8 @@ def cmd_polytope(args: argparse.Namespace) -> int:
             writer = csv.writer(fh)
             writer.writerow(["c", "f"])
             for c, f in rows:
-                writer.writerow([str(c), str(f)])
-        results["curve_elbows"] = [[str(c), str(f)] for c, f in curve.elbows]
+                writer.writerow([_text(c), _text(f)])
+        results["curve_elbows"] = [[_text(c), _text(f)] for c, f in curve.elbows]
         print(f"curve written to {args.curve}")
 
     if args.sweep or problem.sweep is not None:
@@ -280,7 +296,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
             sweep_rows.append((lam, dl, pl))
         results["sweep"] = [
             {
-                "lambda": str(lam),
+                "lambda": _text(lam),
                 "d": _vec_json(dl),
                 "vertices": [_vec_json(v) for v in pl.vertices],
             }
@@ -288,14 +304,14 @@ def cmd_polytope(args: argparse.Namespace) -> int:
         ]
         print(f"sweep over {len(lams)} values of λ:")
         for lam, dl, pl in sweep_rows:
-            print(f"  λ={lam}: d={dl}, {len(pl.vertices)} vertices")
+            print(f"  λ={_text(lam)}: d={_text(dl)}, {len(pl.vertices)} vertices")
         if args.sweep_csv:
             with open(args.sweep_csv, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["lambda", "vertex"] + [f"x{i + 1}" for i in range(n)])
                 for lam, _, pl in sweep_rows:
                     for k, v in enumerate(pl.vertices):
-                        writer.writerow([str(lam), k] + [str(e) for e in v.entries])
+                        writer.writerow([_text(lam), k] + _vec_json(v))
             print(f"sweep vertices written to {args.sweep_csv}")
 
     if args.svg:
@@ -303,7 +319,7 @@ def cmd_polytope(args: argparse.Namespace) -> int:
             raise InputError("--svg is available for n = 3 only")
         if hsys.trace == 0:
             raise InputError("--svg needs a nonzero trace value")
-        svg = render_polytope_svg(poly, labels, hsys.trace, title=f"y={y}, d={d}")
+        svg = render_polytope_svg(poly, labels, hsys.trace, title=f"y={_text(y)}, d={_text(d)}")
         Path(args.svg).write_text(svg, encoding="utf-8")
         print(f"figure written to {args.svg}")
     elif n != 3 and (args.vertices or args.hrep):
@@ -326,10 +342,11 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
     poly_a = dmaj_vertices(pa.y, pa.d)
     poly_b = dmaj_vertices(pb.y, pb.d)
     result = hausdorff(poly_a, poly_b)
-    print(f"Hausdorff distance (1-norm): {result.distance}")
-    print(f"attained at {result.attaining_vertex} ({result.side} polytope)")
+    distance = _text(result.distance)
+    print(f"Hausdorff distance (1-norm): {distance}")
+    print(f"attained at {_text(result.attaining_vertex)} ({result.side} polytope)")
     results: dict[str, Any] = {
-        "distance": str(result.distance),
+        "distance": distance,
         "attaining_vertex": _vec_json(result.attaining_vertex),
         "side": result.side,
     }
@@ -341,12 +358,12 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
         b_dist = b_l1_distance(poly_a.origin, poly_b.origin)
         bound_holds = result.distance <= constant * b_dist
         results["bound_check"] = {
-            "constant": str(constant),
-            "b_distance": str(b_dist),
+            "constant": _text(constant),
+            "b_distance": _text(b_dist),
             "bound_holds": bound_holds,
         }
         print(
-            f"bound check: Δ = {result.distance} <= C·|b-b'| = {constant}·{b_dist}: "
+            f"bound check: Δ = {distance} <= C·|b-b'| = {constant}·{_text(b_dist)}: "
             f"{bound_holds}"
         )
     if args.json:
@@ -377,7 +394,7 @@ def cmd_sd3(args: argparse.Namespace) -> int:
         entries.append({"rows": _matrix_json(m), "extreme": extreme})
         print(f"matrix {idx + 1} (extreme: {extreme}):")
         for row in m.entries.rows:
-            print("  [" + ", ".join(str(v) for v in row) + "]")
+            print("  [" + ", ".join(_text(v) for v in row) + "]")
     if args.json:
         inputs = {"d": _vec_json(problem.d)}
         _emit_json(

@@ -11,9 +11,10 @@ u(t) = sum((y - t d)_+) is the largest f - t c over the elbows.
 This module is the one implementation of that function.  The curve decider
 (criterion vii), the one-norm decider (criterion vi) and the halfspace
 bounds of ``build_dmaj_hrep`` all read it off the elbows.  The
-positive-part decider (criterion iv), the witness LP and the classical
-d = 1 routines deliberately compute without it, so that the agreement
-sweeps compare independent code.
+positive-part decider (criterion iv), the balayage witness (which keeps
+its own potential of the swept measure) and the classical d = 1 routines
+deliberately compute without it, so that the agreement sweeps compare
+independent code.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from dmajor import (
     dmaj_vertices,
     enumerate_vertices,
     find_witness,
+    find_witness_lp,
     hausdorff,
     lipschitz_constant,
     maximal_element,
@@ -192,16 +193,19 @@ def test_criterion_05_criteria_equivalence_sweep():
             c = dmaj_by_curve(x, y, d)
             witness = find_witness(x, y, d)
             w = witness is not None
-            assert a == b == c == w, (x, y, d, a, b, c, w)
+            oracle = find_witness_lp(x, y, d)
+            o = oracle is not None
+            assert a == b == c == w == o, (x, y, d, a, b, c, w, o)
             if w:
                 positives += 1
-                m = witness.entries
-                assert all(
-                    m.rows[i][j] >= 0 for i in range(n) for j in range(n)
-                )
-                assert all(m.col(j).total() == 1 for j in range(n))
-                assert witness.apply(d) == d
-                assert witness.apply(y) == x
+                for found in (witness, oracle):
+                    m = found.entries
+                    assert all(
+                        m.rows[i][j] >= 0 for i in range(n) for j in range(n)
+                    )
+                    assert all(m.col(j).total() == 1 for j in range(n))
+                    assert found.apply(d) == d
+                    assert found.apply(y) == x
             else:
                 negatives += 1
             total += 1

@@ -137,6 +137,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "error: field 'y'" in err and "decimal literal" in err
 
+    def test_derived_value_past_digit_limit_is_input_error(self, tmp_path, capsys):
+        # The inputs parse, but the h-rep bounds need more than 4,300 digits.
+        payload = {"n": 2, "y": ["1" * 2500, "1"], "d": ["3", "7" + "1" * 2400]}
+        path = write_problem(tmp_path, "bigbound.json", payload)
+        assert main(["polytope", path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "digits to print" in err
+        assert "set_int_max_str_digits" not in err
+
     def test_directory_as_problem_is_input_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from dmajor import (
     dmaj_by_positive_parts,
     classical_majorizes,
     find_witness,
+    find_witness_lp,
     maximal_element,
     minimal_element,
     similarly_d_ordered,
@@ -145,6 +146,94 @@ class TestAgreement:
     def test_deciders_match_on_arbitrary_triples(self, x, y, d):
         votes = {decide(x, y, d) for decide in DECIDERS}
         assert len(votes) == 1
+
+
+def block_average(y: RVec, d: RVec, blocks: list[list[int]]) -> RVec:
+    """x_i = d_i * (y over B) / (d over B) on each block B: y under a block witness."""
+    x = [Fraction(0)] * len(y)
+    for block in blocks:
+        ys = sum((y[j] for j in block), Fraction(0))
+        ds = sum((d[j] for j in block), Fraction(0))
+        for i in block:
+            x[i] = d[i] * ys / ds
+    return RVec(tuple(x))
+
+
+def random_blocks(rng: random.Random, n: int, largest: int) -> list[list[int]]:
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        size = rng.randint(1, largest)
+        blocks.append(order[:size])
+        order = order[size:]
+    return blocks
+
+
+def epsilon_move(x: RVec, y: RVec, d: RVec) -> RVec:
+    """Move mass from the lowest-ratio to the highest-ratio entry of x until
+    x/d there exceeds max(y/d); the trace stays, and no witness can exist."""
+    ratios = [x[i] / d[i] for i in range(len(x))]
+    lo, hi = ratios.index(min(ratios)), ratios.index(max(ratios))
+    top = max(y[j] / d[j] for j in range(len(y)))
+    eps = (top - ratios[hi]) * d[hi] + Fraction(1, 7)
+    entries = list(x.entries)
+    entries[hi] += eps
+    entries[lo] -= eps
+    return RVec(tuple(entries))
+
+
+class TestBalayageWitness:
+    """The balayage ``find_witness`` against the simplex ``find_witness_lp``."""
+
+    # y/d drawn from a few values, zero and negatives included, so that
+    # tied source ratios are common.
+    RATIO_POOL = [Fraction(k, 2) for k in range(-4, 5)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_agrees_with_lp_oracle(self, n):
+        rng = random.Random(7070 + n)
+        outcomes = []
+        tied = on_source = zero = 0
+        for k in range(80):
+            d = RVec((Fraction(1),) * n) if k % 3 == 0 else rand_weights(rng, n)
+            y = RVec(tuple(rng.choice(self.RATIO_POOL) * d[j] for j in range(n)))
+            kind = k % 6
+            if kind == 0:
+                x = y
+            elif kind == 1:
+                x = block_average(y, d, random_blocks(rng, n, 3))
+            elif kind == 2:
+                x = rand_majorized_point(rng, y, d)
+            elif kind == 3:
+                x = rand_trace_matched(rng, y)
+            elif kind == 4:
+                x = epsilon_move(block_average(y, d, random_blocks(rng, n, 3)), y, d)
+            else:
+                x = rand_rvec(rng, n)
+            witness, oracle = find_witness(x, y, d), find_witness_lp(x, y, d)
+            assert (witness is None) == (oracle is None), (x, y, d)
+            outcomes.append(witness is not None)
+            if witness is not None:
+                assert_witness_valid(witness, x, y, d)
+                assert_witness_valid(oracle, x, y, d)
+                source = [y[j] / d[j] for j in range(n)]
+                tied += len(set(source)) < n
+                on_source += any(x[i] / d[i] in source for i in range(n))
+                zero += 0 in x.entries or 0 in y.entries
+        assert True in outcomes and False in outcomes
+        assert on_source > 0 and zero > 0
+        assert tied > 0 or n == 1
+
+    def test_block_average_at_n64(self):
+        rng = random.Random(64)
+        n = 64
+        y, d = rand_rvec(rng, n), rand_weights(rng, n)
+        x = block_average(y, d, random_blocks(rng, n, 12))
+        witness = find_witness(x, y, d)
+        assert witness is not None
+        assert_witness_valid(witness, x, y, d)
+        assert find_witness(epsilon_move(x, y, d), y, d) is None
 
 
 class TestPreorder:
